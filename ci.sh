@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full workspace test suite.
-# Run from the repository root before pushing.
+# Local CI gate: formatting, lints, the full workspace test suite, smoke
+# runs and the repository benchmark's correctness gates. Writes no tracked
+# file. Run from the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,12 +31,18 @@ cargo run -q --release -p ddr-experiments --bin ddr -- \
 test -s "$TRACE" || { echo "trace file is empty" >&2; exit 1; }
 cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$TRACE" > /dev/null
 
-echo "==> perfbench --smoke (kernel throughput harness, determinism cross-check)"
-cargo run -q --release -p ddr-experiments --bin perfbench -- --smoke
+echo "==> benchmark unit tests (gates, output contract, BENCHMARK.json parity)"
+cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> perfbench --smoke --shards 2 (sharded kernel: digest parity + scaling entry)"
-cargo run -q --release -p ddr-experiments --bin perfbench -- \
-    --smoke --shards 2 --label ci-smoke --out BENCH_7.json
+echo "==> benchmark smoke (fig1_paper traced pass: plain == probed == JSONL digests, invariants)"
+# run.py exits 1 on a failed gate; the last stdout line is the JSON
+# summary whose `correct` field says which.
+BENCH_LAST=$(python3 benchmark/run.py --workload fig1_paper --seed 1 --seconds 1 --trace 1 \
+    | tail -n 1) || { echo "benchmark smoke exited non-zero: $BENCH_LAST" >&2; exit 1; }
+case "$BENCH_LAST" in
+    *'"correct":true'*) echo "    correct:true" ;;
+    *) echo "benchmark smoke failed a correctness gate: $BENCH_LAST" >&2; exit 1 ;;
+esac
 
 echo "==> shard_scaling --smoke --shards 2 (parallel-vs-serial parity gate)"
 cargo run -q --release -p ddr-experiments --bin ddr -- \
@@ -83,13 +90,8 @@ echo "$METERED_OUT" | grep -q 'Sharded-kernel profile' \
 cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$METRICS" > /dev/null
 echo "    $DIGEST_METERED (metered+profiled == plain)"
 
-echo "==> ddr compare self-compare (bench trajectory differ: zero regressions)"
+echo "==> ddr serve --smoke (real-time bus load test, prints qps/core + p99)"
 cargo run -q --release -p ddr-experiments --bin ddr -- \
-    compare BENCH_2.json BENCH_2.json > /dev/null
-
-echo "==> ddr serve --smoke (real-time bus load test, records qps/core + p99)"
-cargo run -q --release -p ddr-experiments --bin ddr -- \
-    serve gnutella --nodes 200 --qps 50 --duration 2 --smoke \
-    --label ci-smoke --bench-out BENCH_6.json
+    serve gnutella --nodes 200 --qps 50 --duration 2 --smoke
 
 echo "==> CI green"

@@ -19,7 +19,6 @@ pub mod free_riders;
 pub mod heavy_churn;
 pub mod partition_heal;
 pub mod peerolap_eval;
-pub mod perf;
 pub mod shard_scaling;
 pub mod strategies;
 pub mod webcache_eval;

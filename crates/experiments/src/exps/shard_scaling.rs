@@ -26,7 +26,7 @@ use ddr_stats::Table;
 /// The kernel's lookahead: the minimum one-way delay of the `ddr-net`
 /// LAN latency class (`LatencyParams::lo()`, 10 ms) — the physical
 /// quantity that makes conservative windows possible.
-pub(crate) const LOOKAHEAD: SimDuration = SimDuration::from_millis(10);
+const LOOKAHEAD: SimDuration = SimDuration::from_millis(10);
 
 /// Neighbors per node in the synthetic overlay (paper degree is 4; 8
 /// keeps the relay fan-out interesting without blowing up the arena).
@@ -46,7 +46,7 @@ fn mix(a: u64, b: u64) -> u64 {
 /// because the kernel routes on [`NodeId`] but hands the handler only
 /// the payload.
 #[derive(Clone)]
-pub(crate) struct Relay {
+struct Relay {
     node: u32,
     hops: u8,
     tag: u64,
@@ -56,7 +56,7 @@ pub(crate) struct Relay {
 /// neighbor table is a single flat arena (`local * DEGREE ..`), and the
 /// per-node counters/checksums are dense parallel columns — no per-node
 /// heap allocations anywhere.
-pub(crate) struct RelayWorld {
+struct RelayWorld {
     base: usize,
     neighbors: Vec<u32>,
     counts: Vec<u64>,
@@ -107,12 +107,7 @@ impl ShardWorld for RelayWorld {
 
 /// Build a primed kernel: every node seeds one relay cascade of `hops`
 /// forwards, start times staggered over the first 50 ms.
-pub(crate) fn build(
-    nodes: usize,
-    shards: usize,
-    hops: u8,
-    seed: u64,
-) -> ShardedSimulation<RelayWorld> {
+fn build(nodes: usize, shards: usize, hops: u8, seed: u64) -> ShardedSimulation<RelayWorld> {
     let partition = Partition::contiguous(nodes, shards);
     let worlds = (0..partition.shards())
         .map(|s| RelayWorld::for_shard(&partition, s, nodes, seed))
@@ -136,7 +131,7 @@ pub(crate) fn build(
 /// Order-sensitive digest of the full world state (every node's count
 /// and checksum). Two runs with equal digests dispatched the identical
 /// event sequence.
-pub(crate) fn digest(sim: &ShardedSimulation<RelayWorld>) -> u64 {
+fn digest(sim: &ShardedSimulation<RelayWorld>) -> u64 {
     let mut acc = 0u64;
     for w in sim.worlds() {
         for (&c, &k) in w.counts.iter().zip(&w.checksums) {
@@ -147,23 +142,23 @@ pub(crate) fn digest(sim: &ShardedSimulation<RelayWorld>) -> u64 {
 }
 
 /// One timed point on the scaling curve.
-pub(crate) struct ShardMeasurement {
-    pub shards: usize,
-    pub events: u64,
-    pub windows: u64,
-    pub wall_seconds: f64,
-    pub digest: u64,
+struct ShardMeasurement {
+    shards: usize,
+    events: u64,
+    windows: u64,
+    wall_seconds: f64,
+    digest: u64,
 }
 
 impl ShardMeasurement {
-    pub fn events_per_sec(&self) -> f64 {
+    fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_seconds.max(1e-9)
     }
 }
 
 /// Run the relay world to exhaustion on `shards` shards (1 ⇒ the serial
 /// reference loop, >1 ⇒ one worker thread per shard) and time it.
-pub(crate) fn measure(nodes: usize, hops: u8, shards: usize, seed: u64) -> ShardMeasurement {
+fn measure(nodes: usize, hops: u8, shards: usize, seed: u64) -> ShardMeasurement {
     let mut sim = build(nodes, shards, hops, seed);
     // run_parallel needs a finite horizon; the cascade dies out after
     // hops * 33 ms, so any large bound is "never".
@@ -187,7 +182,7 @@ pub(crate) fn measure(nodes: usize, hops: u8, shards: usize, seed: u64) -> Shard
 
 /// The shard counts measured for a curve up to `max`: powers of two plus
 /// `max` itself (1, 2, 4, …, max).
-pub(crate) fn shard_curve(max: usize) -> Vec<usize> {
+fn shard_curve(max: usize) -> Vec<usize> {
     let mut counts = Vec::new();
     let mut s = 1;
     while s < max {

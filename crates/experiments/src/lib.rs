@@ -2,11 +2,9 @@
 //!
 //! Every figure, evaluation and ablation registers as a named
 //! [`Experiment`] in the [`registry`]; the single `ddr` binary drives
-//! them (`ddr list`, `ddr run <name>...`, `ddr run --all`), and the
-//! historical one-binary-per-figure entry points remain as three-line
-//! shims over the same registry entries.
+//! them (`ddr list`, `ddr run <name>...`, `ddr run --all`).
 //!
-//! Every entry point accepts the shared flag grammar (see
+//! Every experiment accepts the shared flag grammar (see
 //! [`ExpOptions`]):
 //!
 //! ```text
@@ -25,7 +23,6 @@
 //! affects results — only wall-clock time.
 
 pub mod cli;
-pub mod compare;
 pub mod emit;
 pub mod exps;
 pub mod opts;

@@ -1,6 +1,6 @@
 //! The experiment registry: every figure, evaluation and ablation is a
 //! named [`Experiment`] the `ddr` CLI (and the tests) can enumerate and
-//! run. Legacy per-figure binaries are thin shims over the same entries.
+//! run.
 
 use crate::emit::Emitter;
 use crate::opts::ExpOptions;
@@ -9,7 +9,7 @@ use crate::opts::ExpOptions;
 /// function that runs it against shared options and an output emitter.
 #[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Registry key (also the legacy binary name).
+    /// Registry key (the name `ddr run` takes).
     pub name: &'static str,
     /// One-line description shown by `ddr list`.
     pub description: &'static str,
@@ -24,7 +24,7 @@ pub struct Experiment {
 
 /// Every experiment, in presentation order (paper figures first, then
 /// case-study evaluations, ablations and diagnostics, then the umbrella
-/// run and the kernel benchmark).
+/// run and the sharded-kernel scaling curve).
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -144,12 +144,6 @@ pub fn registry() -> Vec<Experiment> {
             shardable: false,
         },
         Experiment {
-            name: "perfbench",
-            description: "Event-kernel throughput battery (display only; binary records)",
-            run: crate::exps::perf::run,
-            shardable: true,
-        },
-        Experiment {
             name: "shard_scaling",
             description: "Parallel sharded kernel: 1->N shard throughput curve with parity check",
             run: crate::exps::shard_scaling::run,
@@ -181,7 +175,7 @@ mod tests {
     #[test]
     fn find_resolves_known_and_rejects_unknown() {
         assert!(find("fig1").is_some());
-        assert!(find("perfbench").is_some());
+        assert!(find("shard_scaling").is_some());
         assert!(find("no_such_experiment").is_none());
     }
 
@@ -201,7 +195,6 @@ mod tests {
                 "heavy_churn",
                 "free_riders",
                 "bandwidth_eras",
-                "perfbench",
                 "shard_scaling"
             ]
         );

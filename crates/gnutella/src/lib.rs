@@ -41,7 +41,7 @@ pub use metrics::{Metrics, RunReport};
 pub use node::{build_nodes, GnutellaNode, NodeMsg, NodeSetConfig, QueryOutcome};
 pub use scenario::{run_scenario, run_scenario_traced, run_scenario_with_world, GnutellaScenario};
 pub use sharded::{
-    run_scenario_sharded, run_scenario_sharded_full, run_scenario_sharded_timed,
-    run_scenario_sharded_with_worlds, ShardedRunStats,
+    run_scenario_sharded, run_scenario_sharded_full, run_scenario_sharded_with_worlds,
+    ShardedRunStats,
 };
 pub use world::GnutellaWorld;

@@ -16,8 +16,8 @@ use ddr_sim::{RunOutcome, ShardProfile, ShardedSimulation, SimTime};
 use ddr_stats::MeasurementWindow;
 use ddr_telemetry::{JsonlMetrics, MetricsRecorder, MetricsSink, NullMetrics, NullSink};
 
-/// Kernel-side measurements from one sharded run, for perfbench entries:
-/// wall clock excludes construction and report merging.
+/// Kernel-side measurements from one sharded run: wall clock excludes
+/// construction and report merging.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedRunStats {
     /// Kernel wall-clock time (the `run`/`run_parallel` call only).
@@ -37,18 +37,9 @@ pub struct ShardedRunStats {
 /// wall clock). A pure function of `(config, )` — shard and thread counts
 /// do not change the report.
 pub fn run_scenario_sharded(config: ScenarioConfig, shards: usize, threads: usize) -> RunReport {
-    let (report, _stats) = run_scenario_sharded_timed(config, shards, threads);
+    let (report, _stats, _prof, _worlds) =
+        run_scenario_sharded_full(config, shards, threads, false);
     report
-}
-
-/// [`run_scenario_sharded`] plus the kernel-side [`ShardedRunStats`].
-pub fn run_scenario_sharded_timed(
-    config: ScenarioConfig,
-    shards: usize,
-    threads: usize,
-) -> (RunReport, ShardedRunStats) {
-    let (report, stats, _prof, _worlds) = run_scenario_sharded_full(config, shards, threads, false);
-    (report, stats)
 }
 
 /// [`run_scenario_sharded`] plus the final per-shard worlds, for

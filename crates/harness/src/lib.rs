@@ -13,17 +13,14 @@
 //! [`ddr_sim::World`] plus a `Scenario` impl — not a fourth copy of the
 //! driver and a fifteenth experiment binary.
 //!
-//! On top of the driver sit two engines shared by the experiment layer:
-//!
-//! * [`run_timed`] — the perfbench measurement harness (events/sec, queue
-//!   high-water mark) over any scenario;
-//! * [`Sweep`] / [`run_many`] — a deterministic parallel sweep engine:
-//!   named parameter axes, per-point seed derivation ([`derive_seed`]),
-//!   fan-out over a shared worker pool with a bounded result channel, and
-//!   results returned in input order regardless of completion order.
+//! On top of the driver sits the engine the experiment layer shares:
+//! [`Sweep`] / [`run_many`], a deterministic parallel sweep engine —
+//! named parameter axes, per-point seed derivation ([`derive_seed`]),
+//! fan-out over a shared worker pool with a bounded result channel, and
+//! results returned in input order regardless of completion order.
 
 pub mod scenario;
 pub mod sweep;
 
-pub use scenario::{run, run_probed, run_sampled, run_timed, run_with_world, Scenario, TimedRun};
+pub use scenario::{run, run_probed, run_sampled, run_with_world, Scenario};
 pub use sweep::{default_workers, derive_seed, run_many, Sweep, SweepPoint};

@@ -2,10 +2,9 @@
 
 use ddr_sim::{EventLabel, EventQueue, KernelProbe, RunOutcome, SimTime, Simulation, World};
 use ddr_stats::MeasurementWindow;
-use std::time::Instant;
 
 /// One framework instantiation, described declaratively so the shared
-/// driver ([`run`], [`run_with_world`], [`run_timed`]) can execute it.
+/// driver ([`run`], [`run_with_world`]) can execute it.
 ///
 /// Implementations are zero-sized marker types (`GnutellaScenario`,
 /// `WebCacheScenario`, `PeerOlapScenario`, …): all state lives in
@@ -139,53 +138,6 @@ pub fn run_sampled<S: Scenario>(
     S::check_outcome(outcome);
     let world = sim.into_world();
     S::extract_report(&world, window)
-}
-
-/// Kernel-level counters of one timed run (the perfbench measurement).
-///
-/// The timing harness is deliberately identical to [`run_with_world`]
-/// minus report extraction, so before/after perf entries differ only in
-/// the kernel or world under test — never in the driver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimedRun {
-    /// Events dispatched to the world.
-    pub events_processed: u64,
-    /// Wall-clock seconds spent inside the event loop.
-    pub wall_seconds: f64,
-    /// Queue high-water mark.
-    pub peak_pending: usize,
-    /// Events still pending at the horizon.
-    pub final_pending: usize,
-}
-
-impl TimedRun {
-    /// Derived throughput.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_processed as f64 / self.wall_seconds.max(1e-9)
-    }
-}
-
-/// Time one scenario run (prime excluded, event loop only) and return the
-/// kernel counters. Deterministic in everything except `wall_seconds`.
-pub fn run_timed<S: Scenario>(config: S::Config) -> TimedRun {
-    let window = S::window(&config);
-    let capacity = S::capacity_hint(&config);
-    let horizon = SimTime::from_hours(window.to_hour);
-
-    let mut world = S::build(config);
-    let mut queue: EventQueue<<S::World as World>::Event> = EventQueue::with_capacity(capacity);
-    S::prime(&mut world, &mut queue);
-    let mut sim = Simulation::with_queue(world, queue);
-
-    let start = Instant::now();
-    sim.run(horizon);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    TimedRun {
-        events_processed: sim.processed(),
-        wall_seconds,
-        peak_pending: sim.peak_pending(),
-        final_pending: sim.pending(),
-    }
 }
 
 #[cfg(test)]
@@ -348,19 +300,5 @@ mod tests {
         assert_eq!(samples.len(), 3, "one sample per simulated hour");
         assert_eq!(samples[0].0, 3_600_000);
         assert!(samples.iter().all(|&(_, pending)| pending >= 1));
-    }
-
-    #[test]
-    fn timed_run_matches_untimed_counters() {
-        let timed = run_timed::<TickScenario>(cfg(7));
-        let report = run::<TickScenario>(cfg(7));
-        assert_eq!(timed.events_processed, report.fired);
-        assert_eq!(
-            timed.final_pending, 1,
-            "self-rescheduling world keeps one pending"
-        );
-        assert!(timed.peak_pending >= 1);
-        assert!(timed.wall_seconds >= 0.0);
-        assert!(timed.events_per_sec() > 0.0);
     }
 }

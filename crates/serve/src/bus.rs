@@ -271,31 +271,36 @@ impl Shard {
             });
             return;
         }
-        match self.peers[target].try_send(env) {
-            Ok(()) => {
-                if let Some(m) = &self.monitor {
-                    m.inbox_depth[target].fetch_add(1, AtomicOrd::Relaxed);
-                }
+        self.forward(target, env);
+    }
+
+    /// Hand `env` to shard `target`'s inbox; a full inbox parks it in the
+    /// outbox for retry. The monitor's depth gauge is raised *before* the
+    /// envelope becomes visible to the receiver (whose [`Self::note_recv`]
+    /// lowers it) and lowered again if the send fails, so the gauge never
+    /// wraps below zero. `Relaxed` suffices: the channel's send/receive
+    /// pairing orders the increment before the receiver's decrement.
+    fn forward(&mut self, target: usize, env: Envelope) {
+        if let Some(m) = &self.monitor {
+            m.inbox_depth[target].fetch_add(1, AtomicOrd::Relaxed);
+        }
+        if let Err(e) = self.peers[target].try_send(env) {
+            if let Some(m) = &self.monitor {
+                m.inbox_depth[target].fetch_sub(1, AtomicOrd::Relaxed);
             }
-            Err(TrySendError::Full(env)) => self.outbox.push_back((target, env)),
-            // The peer already stopped (drain deadline passed there);
-            // the message could never complete a query anyway.
-            Err(TrySendError::Disconnected(_)) => {}
+            match e {
+                TrySendError::Full(env) => self.outbox.push_back((target, env)),
+                // The peer already stopped (drain deadline passed there);
+                // the message could never complete a query anyway.
+                TrySendError::Disconnected(_) => {}
+            }
         }
     }
 
     fn flush_outbox(&mut self) {
         for _ in 0..self.outbox.len() {
             let (target, env) = self.outbox.pop_front().expect("len-bounded pop");
-            match self.peers[target].try_send(env) {
-                Ok(()) => {
-                    if let Some(m) = &self.monitor {
-                        m.inbox_depth[target].fetch_add(1, AtomicOrd::Relaxed);
-                    }
-                }
-                Err(TrySendError::Full(env)) => self.outbox.push_back((target, env)),
-                Err(TrySendError::Disconnected(_)) => {}
-            }
+            self.forward(target, env);
         }
     }
 
@@ -532,14 +537,22 @@ fn run_bus<T: TraceSink + Send + 'static>(cfg: &ServeConfig) -> ServeReport {
                     query: QueryId(offered),
                 },
             };
-            if txs[node.index() % nshards].send(env).is_err() {
+            // Count before the send (the receiving shard lowers the depth
+            // gauge as soon as it sees the envelope) and undo on failure,
+            // so no gauge reading wraps or exceeds the offered count.
+            let shard = node.index() % nshards;
+            if let Some(m) = &monitor {
+                m.offered.fetch_add(1, AtomicOrd::Relaxed);
+                m.inbox_depth[shard].fetch_add(1, AtomicOrd::Relaxed);
+            }
+            if txs[shard].send(env).is_err() {
+                if let Some(m) = &monitor {
+                    m.offered.fetch_sub(1, AtomicOrd::Relaxed);
+                    m.inbox_depth[shard].fetch_sub(1, AtomicOrd::Relaxed);
+                }
                 break;
             }
             offered += 1;
-            if let Some(m) = &monitor {
-                m.offered.fetch_add(1, AtomicOrd::Relaxed);
-                m.inbox_depth[node.index() % nshards].fetch_add(1, AtomicOrd::Relaxed);
-            }
         }
         thread::sleep(Duration::from_micros(500));
     }
@@ -743,6 +756,82 @@ mod tests {
             assert!((r.hit_rate - r.hits as f64 / r.queries_completed as f64).abs() < 1e-9);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Per window of a monitored run's timeline: the cumulative
+    /// `queries_offered` counter and the largest `inbox_depth.s*` gauge.
+    fn offered_and_depth_per_window(path: &std::path::Path) -> Vec<(u64, f64)> {
+        let text = std::fs::read_to_string(path).expect("timeline file written");
+        let mut offered = 0u64;
+        let mut out = Vec::new();
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let v = serde::json::parse(line).expect("window record parses");
+            let counters = v.get("counters").expect("counters object");
+            offered += counters
+                .get("queries_offered")
+                .and_then(|x| x.as_f64())
+                .unwrap_or(0.0) as u64;
+            let serde::json::Value::Obj(gauges) = v.get("gauges").expect("gauges object") else {
+                panic!("gauges is not an object: {line}");
+            };
+            let depth = gauges
+                .iter()
+                .filter(|(k, _)| k.starts_with("inbox_depth.s"))
+                .filter_map(|(_, g)| g.as_f64())
+                .fold(0.0, f64::max);
+            out.push((offered, depth));
+        }
+        out
+    }
+
+    /// The inbox-depth gauges count envelopes on their way into a shard.
+    /// With one shard every channel message is a generator `Issue`, so no
+    /// sample may exceed the queries offered so far. The bound for a
+    /// window is the offered count of the *next* window, because the
+    /// monitor reads the counter before the gauges. A count raised after
+    /// the send can lose the race to the receiver's decrement and wrap
+    /// the gauge to ~2^64; with several shards the cross-shard sends
+    /// take that path too, bounded by every envelope the run put on a
+    /// channel.
+    #[test]
+    fn inbox_depth_gauges_never_exceed_what_was_sent() {
+        let dir = std::env::temp_dir().join(format!("ddr-serve-depth-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+
+        // One shard offered far more than it can serve: its inbox backs up.
+        let path = dir.join("one-shard.jsonl");
+        let mut cfg = quick_cfg(400, 9, 20_000.0, 0.5, 1);
+        cfg.telemetry.metrics_path = Some(path.clone());
+        cfg.monitor_interval_ms = 2;
+        let r = run_gnutella(&cfg);
+        let windows = offered_and_depth_per_window(&path);
+        assert!(windows.len() >= 10, "expected many windows");
+        for (i, &(_, depth)) in windows.iter().enumerate() {
+            let bound = windows.get(i + 1).map_or(r.queries_offered, |w| w.0);
+            assert!(
+                depth <= bound as f64,
+                "window {i}: inbox depth {depth} above the {bound} queries offered"
+            );
+        }
+        assert!(
+            windows.iter().any(|&(_, depth)| depth > 0.0),
+            "the shard never fell behind; the test saturates nothing"
+        );
+
+        // Two shards: cross-shard floods go through `forward` too.
+        let path = dir.join("two-shards.jsonl");
+        let mut cfg = quick_cfg(400, 9, 4_000.0, 0.5, 2);
+        cfg.telemetry.metrics_path = Some(path.clone());
+        cfg.monitor_interval_ms = 2;
+        let r = run_gnutella(&cfg);
+        let sent = (r.queries_offered + r.messages) as f64;
+        for (i, &(_, depth)) in offered_and_depth_per_window(&path).iter().enumerate() {
+            assert!(
+                depth <= sent,
+                "window {i}: inbox depth {depth} above the {sent} envelopes sent"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

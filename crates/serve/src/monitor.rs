@@ -92,8 +92,8 @@ impl AtomicLogHist {
 /// / TCP endpoint (readers). One instance per run, behind an `Arc`.
 #[derive(Debug)]
 pub struct MonitorShared {
-    /// Per-shard inbox occupancy: +1 on every successful channel send,
-    /// -1 on every receive.
+    /// Per-shard inbox occupancy: +1 just before every channel send (undone
+    /// if the send fails), -1 on every receive.
     pub inbox_depth: Vec<AtomicUsize>,
     /// Per-shard timer-heap size, stored by each shard once per loop.
     pub heap_len: Vec<AtomicUsize>,

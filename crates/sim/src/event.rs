@@ -25,9 +25,9 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Name of the active future-event-list implementation, surfaced by the
-/// `perfbench` binary so `BENCH_*.json` entries record which kernel
-/// produced each number.
+/// Name of the active future-event-list implementation, printed in the
+/// title of the `--profile` kernel dispatch report so a profile records
+/// which kernel produced it.
 pub const KERNEL_NAME: &str = "calendar-queue";
 
 /// A pre-sizing hint for [`EventQueue::with_capacity`], derived from the
@@ -323,7 +323,8 @@ impl<E> EventQueue<E> {
     }
 
     /// High-water mark of pending events over the queue's lifetime
-    /// (perf instrumentation; see the `perfbench` binary).
+    /// (perf instrumentation; the repository benchmark reports it as
+    /// `sim.peak_pending`).
     pub fn peak_pending(&self) -> usize {
         self.peak
     }
