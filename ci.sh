@@ -90,6 +90,16 @@ echo "$METERED_OUT" | grep -q 'Sharded-kernel profile' \
 cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$METRICS" > /dev/null
 echo "    $DIGEST_METERED (metered+profiled == plain)"
 
+echo "==> serial metrics smoke (metered webcache_eval, then inspect)"
+# The serial worlds sample through MetricsRecorder::sample_sim, a path the
+# sharded smoke above never takes.
+SERIAL_METRICS="$(mktemp -t ddr-ci-serial-metrics.XXXXXX.jsonl)"
+trap 'rm -f "$TRACE" "$METRICS" "$SERIAL_METRICS"' EXIT
+cargo run -q --release -p ddr-experiments --bin ddr -- \
+    run webcache_eval --smoke --metrics "$SERIAL_METRICS" > /dev/null
+test -s "$SERIAL_METRICS" || { echo "serial metrics timeline file is empty" >&2; exit 1; }
+cargo run -q --release -p ddr-experiments --bin ddr -- inspect "$SERIAL_METRICS" > /dev/null
+
 echo "==> ddr serve --smoke (real-time bus load test, prints qps/core + p99)"
 cargo run -q --release -p ddr-experiments --bin ddr -- \
     serve gnutella --nodes 200 --qps 50 --duration 2 --smoke

@@ -10,14 +10,12 @@
 //! | Who is online right now (O(1) set + dense sampling slice, churn toggles) | [`Membership`] | Gnutella's `OnlineSet`, the webcache/peerolap `up`/`present` vectors |
 //! | Per-node framework bundle (stats, exploration, dup-cache, reconfig clock) | [`NodeRuntime`] | ad-hoc `{stats, seen, requests_since_*}` fields on `PeerState` / `ProxyState` / `OlapPeer` |
 //! | Threshold-K reconfiguration clock with invitation damping | [`ReconfigClock`] | bare `u32` counters compared against config in three places |
-//! | Uniform observability sink for framework events | [`SimObserver`] | three bespoke metrics structs duplicating queries/hits/messages/updates |
 //!
 //! The worlds keep their domain state (caches, pending queries, workload
 //! generators) and compose it with a [`NodeRuntime`]; framework-level
-//! events are reported through [`SimObserver`], whose canonical
-//! implementation is the shared [`ddr_stats::RuntimeMetrics`] recorder.
-//! [`NullObserver`] is the zero-cost sink for benches and tests that do
-//! not care about metrics.
+//! events (queries, hits, messages, latency, reconfigurations) are
+//! recorded straight into the shared [`ddr_stats::RuntimeMetrics`]
+//! recorder that every world embeds.
 
 //! A second split sits *under* the worlds: [`transport`] defines the
 //! engine/node boundary (`Clock`, `Transport`, `NodeBehavior`) so the
@@ -26,12 +24,10 @@
 
 pub mod membership;
 pub mod node;
-pub mod observer;
 pub mod reconfig;
 pub mod transport;
 
 pub use membership::Membership;
 pub use node::NodeRuntime;
-pub use observer::{NullObserver, SimObserver};
 pub use reconfig::ReconfigClock;
-pub use transport::{Clock, NodeBehavior, SimTransport, Transport};
+pub use transport::{Clock, NodeBehavior, Transport};

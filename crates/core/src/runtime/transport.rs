@@ -17,12 +17,11 @@
 //!
 //! Two engines drive the same behavior:
 //!
-//! * the discrete-event simulator: [`SimTransport`] (an alias for
-//!   `ddr_sim::Scheduler`) implements both traits by pushing into the
-//!   calendar queue. Events already carry their recipient in the
-//!   payload, so `send` is exactly `schedule_after` — which is why the
-//!   port of the three worlds onto these traits is bit-identical (see
-//!   `tests/runtime_regression.rs`);
+//! * the discrete-event simulator: `ddr_sim::Scheduler` implements both
+//!   traits by pushing into the calendar queue. Events already carry
+//!   their recipient in the payload, so `send` is exactly
+//!   `schedule_after` — which is why the port of the three worlds onto
+//!   these traits is bit-identical (see `tests/runtime_regression.rs`);
 //! * the real-time serve bus (`ddr-serve`): sharded worker threads with
 //!   bounded channels and a wall-clock `Clock`, driving [`NodeBehavior`]
 //!   instances under synthetic load.
@@ -42,12 +41,6 @@ pub trait Clock<E> {
 
     /// Deliver `event` back to the current node after `delay`.
     fn schedule_after(&mut self, delay: SimDuration, event: E);
-
-    /// Deliver `event` back to the current node at absolute time `at`
-    /// (`at >= now`). Kept alongside [`Clock::schedule_after`] because
-    /// the peerolap world completes centralized-phase queries "at now",
-    /// and the port must preserve its exact scheduling calls.
-    fn schedule_at(&mut self, at: SimTime, event: E);
 }
 
 /// Typed node-to-node message delivery.
@@ -76,10 +69,7 @@ pub trait NodeBehavior {
 }
 
 /// The discrete-event backend: a [`ddr_sim::Scheduler`] used through the
-/// `Clock`/`Transport` traits. The alias names the role; the impls below
-/// give it the behavior.
-pub type SimTransport<'a, E> = Scheduler<'a, E>;
-
+/// `Clock`/`Transport` traits.
 impl<E> Clock<E> for Scheduler<'_, E> {
     #[inline]
     fn now(&self) -> SimTime {
@@ -89,11 +79,6 @@ impl<E> Clock<E> for Scheduler<'_, E> {
     #[inline]
     fn schedule_after(&mut self, delay: SimDuration, event: E) {
         self.after(delay, event);
-    }
-
-    #[inline]
-    fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.at(at, event);
     }
 }
 
@@ -163,9 +148,9 @@ mod tests {
                     from: NodeId(0),
                 },
             );
-            Clock::schedule_at(
+            Clock::schedule_after(
                 &mut sched,
-                SimTime::from_millis(3),
+                SimDuration::from_millis(3),
                 Ping {
                     to: NodeId(1),
                     from: NodeId(1),
@@ -181,7 +166,7 @@ mod tests {
                 },
             );
         }
-        // Delivery order follows time: at(3) < send(+7) < after(+10).
+        // Delivery order follows time: after(+3) < send(+7) < after(+10).
         let (t1, e1) = q.pop().unwrap();
         assert_eq!((t1, e1.to), (SimTime::from_millis(3), NodeId(1)));
         let (t2, e2) = q.pop().unwrap();

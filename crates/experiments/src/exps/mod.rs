@@ -28,7 +28,7 @@ use ddr_gnutella::{
     check_invariants, run_scenario_sharded_with_worlds, GnutellaWorld, RunReport, ScenarioConfig,
 };
 use ddr_peerolap::PeerOlapConfig;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, NullSink, TelemetryConfig};
+use ddr_telemetry::{JsonlSink, MetricsRecorder, NullSink, TelemetryConfig};
 use ddr_webcache::WebCacheConfig;
 
 /// Smoke-mode clamp for Gnutella-based experiments: force a tiny world
@@ -67,7 +67,7 @@ pub(crate) fn run_metered<S: ddr_harness::Scenario>(
     cfg: S::Config,
     telemetry: &TelemetryConfig,
 ) -> S::Report {
-    let mut rec: MetricsRecorder<JsonlMetrics> = MetricsRecorder::new(telemetry);
+    let mut rec: MetricsRecorder<JsonlSink> = MetricsRecorder::new(telemetry);
     let report = ddr_harness::run_sampled::<S>(cfg, |now, sim| rec.sample_sim(now, sim));
     rec.finish();
     report

@@ -1,15 +1,20 @@
 //! Metrics-on runs must be digest-identical to metrics-off runs — the
 //! timeline is a pure side channel. Pinned here for fig1_dynamic's
-//! configuration on the sharded kernel at shards {1, 2} and for an
-//! adversarial-pack (flash crowd) scenario, because those paths chunk
-//! the horizon to sample between hours and a chunking bug would corrupt
-//! results silently.
+//! configuration on the sharded kernel at shards {1, 2}, for an
+//! adversarial-pack (flash crowd) scenario, and for the serial
+//! web-cache and PeerOlap worlds, because those paths chunk the horizon
+//! to sample between hours and a chunking bug would corrupt results
+//! silently.
 //!
 //! The emitted timeline itself is also checked: every window finite,
 //! timestamps strictly monotonic per run label.
 
 use ddr_gnutella::{run_scenario_sharded_full, Mode, ScenarioConfig};
-use ddr_telemetry::summarize_timeline;
+use ddr_harness::Scenario;
+use ddr_peerolap::{OlapMode, PeerOlapConfig, PeerOlapScenario};
+use ddr_sim::SimDuration;
+use ddr_telemetry::{summarize_timeline, JsonlSink, MetricsRecorder, TelemetryConfig};
+use ddr_webcache::{CacheMode, WebCacheConfig, WebCacheScenario};
 use ddr_workload::FlashCrowd;
 use std::path::PathBuf;
 
@@ -104,4 +109,60 @@ fn timeline_windows_carry_the_expected_series() {
             s.counter_keys()
         );
     }
+}
+
+/// The serial metered path `webcache_eval`/`peerolap_eval --metrics`
+/// take: `MetricsRecorder::sample_sim` into a `JsonlSink`, driven hour by
+/// hour by `ddr_harness::run_sampled`. Returns (report, timeline text).
+fn metered_serial<S: Scenario>(cfg: S::Config, name: &str) -> (S::Report, String) {
+    let path = tmp(name);
+    let telemetry = TelemetryConfig {
+        metrics_path: Some(path.clone()),
+        run_label: "serial",
+        ..TelemetryConfig::default()
+    };
+    let mut rec: MetricsRecorder<JsonlSink> = MetricsRecorder::new(&telemetry);
+    let report = ddr_harness::run_sampled::<S>(cfg, |now, sim| rec.sample_sim(now, sim));
+    rec.finish();
+    let timeline = std::fs::read_to_string(&path).expect("timeline file written");
+    std::fs::remove_file(&path).ok();
+    (report, timeline)
+}
+
+#[test]
+fn serial_webcache_metrics_do_not_move_the_report() {
+    let mut cfg = WebCacheConfig::default_scenario(CacheMode::Dynamic);
+    cfg.proxies = 16;
+    cfg.groups = 4;
+    cfg.pages_per_group = 2_000;
+    cfg.global_pages = 2_000;
+    cfg.cache_capacity = 300;
+    cfg.sim_hours = 4;
+    cfg.warmup_hours = 1;
+    cfg.mean_request_interval = SimDuration::from_millis(1_000);
+    cfg.seed = 11;
+    let hours = cfg.sim_hours as usize;
+    let plain = ddr_harness::run::<WebCacheScenario>(cfg.clone());
+    let (metered, timeline) = metered_serial::<WebCacheScenario>(cfg, "webcache.jsonl");
+    // Debug output covers every report field, series included.
+    assert_eq!(format!("{plain:?}"), format!("{metered:?}"));
+    assert_clean_timeline(&timeline, hours, "webcache serial");
+}
+
+#[test]
+fn serial_peerolap_metrics_do_not_move_the_report() {
+    let mut cfg = PeerOlapConfig::default_scenario(OlapMode::Dynamic);
+    cfg.peers = 16;
+    cfg.groups = 4;
+    cfg.chunks_per_region = 1_024;
+    cfg.cache_capacity = 256;
+    cfg.sim_hours = 4;
+    cfg.warmup_hours = 1;
+    cfg.mean_query_interval = SimDuration::from_millis(2_000);
+    cfg.seed = 4;
+    let hours = cfg.sim_hours as usize;
+    let plain = ddr_harness::run::<PeerOlapScenario>(cfg.clone());
+    let (metered, timeline) = metered_serial::<PeerOlapScenario>(cfg, "peerolap.jsonl");
+    assert_eq!(format!("{plain:?}"), format!("{metered:?}"));
+    assert_clean_timeline(&timeline, hours, "peerolap serial");
 }

@@ -363,17 +363,6 @@ mod tests {
                     },
                 );
             }
-            fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-                let me = self.me;
-                self.sched.at(
-                    at,
-                    Env {
-                        to: me,
-                        from: me,
-                        msg,
-                    },
-                );
-            }
         }
         impl Transport<NodeMsg> for Ctx<'_, '_> {
             fn send(&mut self, to: NodeId, d: SimDuration, msg: NodeMsg) {

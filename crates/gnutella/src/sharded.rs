@@ -14,7 +14,7 @@ use crate::metrics::{Metrics, RunReport};
 use crate::world::GnutellaWorld;
 use ddr_sim::{RunOutcome, ShardProfile, ShardedSimulation, SimTime};
 use ddr_stats::MeasurementWindow;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, MetricsSink, NullMetrics, NullSink};
+use ddr_telemetry::{JsonlSink, MetricsRecorder, NullSink, TraceSink};
 
 /// Kernel-side measurements from one sharded run: wall clock excludes
 /// construction and report merging.
@@ -74,13 +74,13 @@ pub fn run_scenario_sharded_full(
     Vec<GnutellaWorld<NullSink>>,
 ) {
     if config.telemetry.metrics_path.is_some() {
-        run_core::<JsonlMetrics>(config, shards, threads, profile)
+        run_core::<JsonlSink>(config, shards, threads, profile)
     } else {
-        run_core::<NullMetrics>(config, shards, threads, profile)
+        run_core::<NullSink>(config, shards, threads, profile)
     }
 }
 
-fn run_core<M: MetricsSink>(
+fn run_core<S: TraceSink>(
     config: ScenarioConfig,
     shards: usize,
     threads: usize,
@@ -94,7 +94,7 @@ fn run_core<M: MetricsSink>(
     let window = MeasurementWindow::new(config.warmup_hours, config.sim_hours);
     let horizon = SimTime::from_hours(config.sim_hours);
     let label = config.mode.label();
-    let mut recorder: MetricsRecorder<M> = MetricsRecorder::new(&config.telemetry);
+    let mut recorder: MetricsRecorder<S> = MetricsRecorder::new(&config.telemetry);
     let (mut worlds, partition, lookahead) =
         GnutellaWorld::<NullSink>::build_sharded(config.clone(), shards);
 
@@ -113,7 +113,7 @@ fn run_core<M: MetricsSink>(
     }
 
     let start = std::time::Instant::now();
-    let outcome = if MetricsRecorder::<M>::enabled() && config.sim_hours > 0 {
+    let outcome = if MetricsRecorder::<S>::enabled() && config.sim_hours > 0 {
         // Chunked horizon: `run(h1); run(h2)` is event-identical to
         // `run(h2)` on this kernel (pinned by the resumability tests),
         // so hourly sampling pauses cannot perturb the run.

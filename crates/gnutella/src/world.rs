@@ -60,7 +60,7 @@ use crate::hosts::HostCache;
 use crate::metrics::Metrics;
 use crate::peer::{PeerState, PendingQuery, SessionSlot};
 use ddr_core::benefit::BenefitFunction;
-use ddr_core::runtime::{Clock, NodeRuntime, SimObserver, Transport};
+use ddr_core::runtime::{Clock, NodeRuntime, Transport};
 use ddr_core::{
     plan_asymmetric_update, CategorySummary, InvitationContext, InvitationDecision, LocalIndex,
     QueryDescriptor,
@@ -70,7 +70,7 @@ use ddr_overlay::{NeighborList, Topology};
 use ddr_sim::ItemId;
 use ddr_sim::{
     NodeId, Partition, QueryId, RngFactory, Scheduler, ShardCtx, ShardWorld, SimDuration, SimTime,
-    Trace, World,
+    World,
 };
 
 /// The ranking used for eviction decisions: the configured benefit
@@ -165,9 +165,6 @@ pub struct GnutellaWorld<T: TraceSink = NullSink> {
     pq_pool: Vec<PendingQuery>,
     /// Collected metrics (public so reports and tests can read them).
     pub metrics: Metrics,
-    /// Optional protocol trace (disabled by default; enable with
-    /// [`GnutellaWorld::enable_trace`] for white-box debugging).
-    pub trace: Trace,
     /// Query-lifecycle span recorder (a no-op unless `T` is an enabled
     /// sink).
     tracer: QueryTracer<T>,
@@ -365,7 +362,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     scratch_join: Vec::with_capacity(16),
                     pq_pool: Vec::new(),
                     metrics: Metrics::new(),
-                    trace: Trace::disabled(),
                     tracer: QueryTracer::new(&shared.config.telemetry),
                     shared: shared.clone(),
                 }
@@ -466,12 +462,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 && !self.shared.free_rider[h.index()]
                 && !self.shared.liar[h.index()]
         })
-    }
-
-    /// Keep the most recent `capacity` protocol-event records (logins,
-    /// reconfigurations, invitations, evictions) for white-box debugging.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::bounded(capacity);
     }
 
     /// The scenario configuration.
@@ -787,7 +777,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         let d = self.delay(k, from, to);
         self.metrics
             .runtime
-            .on_messages(ctx.now().as_hours() as usize, 1.0);
+            .record_messages(ctx.now().as_hours() as usize, 1.0);
         ctx.send(to, d, GnutellaEvent::QueryArrive { to, from, desc });
     }
 
@@ -838,8 +828,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.peers[k].begin_session();
         self.sessions[k].login();
         self.metrics.logins += 1;
-        self.trace
-            .record_with(ctx.now(), || format!("{node} login"));
         if self.is_dynamic() && self.shared.config.benefit_join_on_login {
             // Re-cluster from remembered statistics: invite the most
             // beneficial known nodes for every slot they can fill. The
@@ -907,8 +895,6 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.peers[k].end_session();
         self.sessions[k].logoff();
         self.metrics.logoffs += 1;
-        self.trace
-            .record_with(ctx.now(), || format!("{node} logoff"));
         // Tear down the node's own view and notify each former neighbor;
         // they react in their `Unlink` handlers (dynamic: reconfigure;
         // static: request replacement links).
@@ -954,7 +940,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             None => PendingQuery::new(item, now),
         };
         self.peers[k].pending.insert(qid, pq);
-        self.metrics.runtime.on_query(now.as_hours() as usize);
+        self.metrics.runtime.record_query(now.as_hours() as usize);
 
         // Decide the launch shape without cloning the strategy (the
         // deepening variant owns a Vec; cloning it per query was the
@@ -1009,7 +995,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                     self.served[hk] += 1;
                     self.metrics
                         .runtime
-                        .on_messages(now.as_hours() as usize, 1.0);
+                        .record_messages(now.as_hours() as usize, 1.0);
                     let there = self.delay(k, node, holder);
                     let back = self.delay(hk, holder, node);
                     let bw = self.shared.net.class(holder);
@@ -1164,7 +1150,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 }
             }
             if was_first {
-                self.metrics.runtime.on_hit(now.as_hours() as usize);
+                self.metrics.runtime.record_hit(now.as_hours() as usize);
                 let latency = now.saturating_since(pq.issued_at).as_millis() as f64;
                 self.tracer.first(now, query, from, hops, latency);
             }
@@ -1195,7 +1181,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         self.metrics.results.add(hour as usize, results as f64);
         if hour >= self.shared.config.warmup_hours {
             let delay = first_at.saturating_since(pq.issued_at).as_millis() as f64;
-            self.metrics.runtime.on_latency_ms(delay);
+            self.metrics.runtime.record_latency_ms(delay);
             self.metrics.first_delay_hist.record(delay);
         }
         // "Obtain results and update statistics" — each result scores
@@ -1239,9 +1225,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         // ~K results gathered since the last one. See
         // `StatsStore::decay_benefit` for why this bends Fig 3(b).
         self.peers[k].rt.stats.decay_benefit(0.5);
-        self.metrics.runtime.on_update();
-        self.trace
-            .record_with(ctx.now(), || format!("{node} reconfigure"));
+        self.metrics.runtime.record_update();
 
         // Evictions are enacted eagerly, making a planned swap
         // degree-neutral: the freed slot is either retaken by the
@@ -1254,7 +1238,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
         for e in plan.evict {
             if self.neighbors[k].remove(e) {
                 self.metrics.evictions += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 self.peers[k].evicted.insert(e);
                 let d = self.delay(k, node, e);
                 ctx.send(e, d, GnutellaEvent::EvictArrive { to: e, from: node });
@@ -1405,7 +1389,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if let Some(w) = evict {
                 if self.neighbors[k].remove(w) {
                     self.metrics.evictions += 1;
-                    self.metrics.runtime.on_edges_changed(1);
+                    self.metrics.runtime.record_edges_changed(1);
                     let d = self.delay(k, to, w);
                     ctx.send(w, d, GnutellaEvent::EvictArrive { to: w, from: to });
                 }
@@ -1413,13 +1397,10 @@ impl<T: TraceSink> GnutellaWorld<T> {
             if self.neighbors[k].add(from).is_ok() {
                 accepted = true;
                 self.metrics.invitations_accepted += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 // §4.3 damping: the neighbour list just changed, so
                 // restart the update clock.
                 self.peers[k].rt.note_invitation_accepted();
-                self.trace.record_with(ctx.now(), || {
-                    format!("{to} accepted invitation from {from}")
-                });
                 if let ddr_core::InvitationPolicy::TrialPeriod { trial_millis } =
                     self.shared.config.invitation
                 {
@@ -1501,7 +1482,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 if let Some((w, wb)) = worst {
                     if wb < new_b && self.neighbors[k].remove(w) {
                         self.metrics.evictions += 1;
-                        self.metrics.runtime.on_edges_changed(1);
+                        self.metrics.runtime.record_edges_changed(1);
                         self.peers[k].evicted.insert(w);
                         let d = self.delay(k, node, w);
                         ctx.send(w, d, GnutellaEvent::EvictArrive { to: w, from: node });
@@ -1545,7 +1526,7 @@ impl<T: TraceSink> GnutellaWorld<T> {
                 // beneficial link wins the slot by eviction), so refusing
                 // eagerly would only starve the overlay.
                 accepted = true;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
             }
         }
         let d = self.delay(k, to, from);
@@ -1736,11 +1717,8 @@ impl<T: TraceSink> GnutellaWorld<T> {
         if earned <= 0.0 {
             if self.neighbors[k].remove(peer) {
                 self.metrics.evictions += 1;
-                self.metrics.runtime.on_edges_changed(1);
+                self.metrics.runtime.record_edges_changed(1);
                 self.metrics.trials_failed += 1;
-                self.trace.record_with(ctx.now(), || {
-                    format!("{node} ended trial with {peer} (no benefit)")
-                });
                 let d = self.delay(k, node, peer);
                 ctx.send(
                     peer,
@@ -1954,13 +1932,6 @@ impl Clock<GnutellaEvent> for ShardPort<'_, '_> {
 
     fn schedule_after(&mut self, delay: SimDuration, event: GnutellaEvent) {
         self.ctx.send(self.node, delay, event);
-    }
-
-    fn schedule_at(&mut self, at: SimTime, event: GnutellaEvent) {
-        let d = at
-            .saturating_since(self.ctx.now())
-            .max(self.ctx.lookahead());
-        self.ctx.send(self.node, d, event);
     }
 }
 

@@ -205,16 +205,6 @@ impl Clock<NodeMsg> for ShardCtx<'_> {
             msg,
         });
     }
-
-    fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-        let me = self.me;
-        self.staged.push(Envelope {
-            at: at.max(self.now),
-            to: me,
-            from: me,
-            msg,
-        });
-    }
 }
 
 impl Transport<NodeMsg> for ShardCtx<'_> {

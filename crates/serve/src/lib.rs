@@ -8,7 +8,7 @@
 //! `ddr_core::runtime::transport` traits:
 //!
 //! * [`sim_backend`] — a single-threaded, deterministic driver over the
-//!   calendar-queue DES (`SimTransport`). Pure function of
+//!   calendar-queue DES (`ddr_sim::Scheduler`). Pure function of
 //!   `(config, seed)`; the sim/serve parity test pins the two backends
 //!   against each other with it.
 //! * [`bus`] — the production-shaped engine: nodes sharded across

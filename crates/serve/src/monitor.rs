@@ -13,7 +13,7 @@
 
 use crate::bus::WallClock;
 use ddr_sim::MetricsHub;
-use ddr_telemetry::{JsonlMetrics, MetricsRecorder, TelemetryConfig};
+use ddr_telemetry::{JsonlSink, LogHistogram, MetricsRecorder, TelemetryConfig};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -26,65 +26,34 @@ use std::time::Duration;
 /// shard threads are joined (a full synchronization point).
 const ORD: Ordering = Ordering::Relaxed;
 
-/// A lock-free log-bucketed latency histogram, bucket geometry shared
-/// with `ddr_telemetry::LogHistogram`: bucket `k` covers
-/// `[2^(k-1), 2^k)` ms, bucket 0 everything below 1 ms.
+/// A lock-free latency histogram with `ddr_telemetry::LogHistogram`'s
+/// geometry: bucket `k` covers `[2^(k-1), 2^k)` ms, bucket 0 everything
+/// below 1 ms. Any thread records; readers take a [`LogHistogram`]
+/// snapshot and ask it for counts and quantiles.
 #[derive(Debug)]
 pub struct AtomicLogHist {
     counts: [AtomicU64; 64],
-    total: AtomicU64,
 }
 
 impl Default for AtomicLogHist {
     fn default() -> Self {
         AtomicLogHist {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
         }
     }
 }
 
 impl AtomicLogHist {
-    fn bucket(v: f64) -> usize {
-        if v.is_nan() || v < 1.0 {
-            return 0;
-        }
-        let u = if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v as u64
-        };
-        ((64 - u.leading_zeros()) as usize).min(63)
-    }
-
     /// Record one sample (any thread).
     pub fn record(&self, v: f64) {
-        self.counts[Self::bucket(v)].fetch_add(1, ORD);
-        self.total.fetch_add(1, ORD);
+        self.counts[LogHistogram::bucket(v)].fetch_add(1, ORD);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.total.load(ORD)
-    }
-
-    /// Upper bucket edge covering the `q`-quantile; 0 when empty.
-    /// Approximate under concurrent writes (counts are read one by one),
-    /// which is fine for a rolling dashboard figure.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.total.load(ORD);
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, c) in self.counts.iter().enumerate() {
-            seen += c.load(ORD);
-            if seen >= rank {
-                return if k == 0 { 1.0 } else { (1u64 << k) as f64 };
-            }
-        }
-        (1u64 << 63) as f64
+    /// The current bucket counts as a [`LogHistogram`]. Approximate under
+    /// concurrent writes (counts are read one by one), which is fine for
+    /// a rolling dashboard figure.
+    pub fn snapshot(&self) -> LogHistogram {
+        LogHistogram::from_counts(std::array::from_fn(|k| self.counts[k].load(ORD)))
     }
 }
 
@@ -129,19 +98,20 @@ impl MonitorShared {
 
     /// The Prometheus-text exposition of the current state.
     pub fn prometheus_text(&self) -> String {
+        let latency = self.latency_ms.snapshot();
         let mut out = String::with_capacity(512);
         for (name, v) in [
             ("ddr_serve_queries_offered", self.offered.load(ORD)),
             ("ddr_serve_queries_issued", self.issued.load(ORD)),
             ("ddr_serve_queries_completed", self.completed.load(ORD)),
             ("ddr_serve_hits", self.hits.load(ORD)),
-            ("ddr_serve_latency_samples", self.latency_ms.count()),
+            ("ddr_serve_latency_samples", latency.count()),
         ] {
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
         for (name, v) in [
-            ("ddr_serve_latency_p50_ms", self.latency_ms.quantile(0.50)),
-            ("ddr_serve_latency_p99_ms", self.latency_ms.quantile(0.99)),
+            ("ddr_serve_latency_p50_ms", latency.quantile(0.50)),
+            ("ddr_serve_latency_p99_ms", latency.quantile(0.99)),
         ] {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
         }
@@ -165,6 +135,7 @@ impl MonitorShared {
     /// The live report as a JSON object (the dashboard analogue of the
     /// end-of-run [`crate::ServeReport`]).
     pub fn report_json(&self) -> String {
+        let latency = self.latency_ms.snapshot();
         let completed = self.completed.load(ORD);
         let hits = self.hits.load(ORD);
         let hit_rate = if completed == 0 {
@@ -188,8 +159,8 @@ impl MonitorShared {
              \"inbox_depth\":[{}],\"timer_heap\":[{}]}}",
             self.offered.load(ORD),
             self.issued.load(ORD),
-            self.latency_ms.quantile(0.50),
-            self.latency_ms.quantile(0.99),
+            latency.quantile(0.50),
+            latency.quantile(0.99),
             depths.join(","),
             heaps.join(","),
         )
@@ -210,7 +181,7 @@ pub(crate) fn spawn_monitor(
     interval_ms: u64,
 ) -> JoinHandle<u64> {
     thread::spawn(move || {
-        let mut rec: MetricsRecorder<JsonlMetrics> = MetricsRecorder::new(&telemetry);
+        let mut rec: MetricsRecorder<JsonlSink> = MetricsRecorder::new(&telemetry);
         let interval = interval_ms.max(1);
         let mut prev_completed = 0u64;
         let mut prev_t = clock.now().as_millis();
@@ -231,9 +202,10 @@ pub(crate) fn spawn_monitor(
                     "achieved_qps",
                     (completed.saturating_sub(prev_completed)) as f64 / dt_s,
                 );
-                reg.gauge("latency_count", shared.latency_ms.count() as f64);
-                reg.gauge("latency_p50_ms", shared.latency_ms.quantile(0.50));
-                reg.gauge("latency_p99_ms", shared.latency_ms.quantile(0.99));
+                let latency = shared.latency_ms.snapshot();
+                reg.gauge("latency_count", latency.count() as f64);
+                reg.gauge("latency_p50_ms", latency.quantile(0.50));
+                reg.gauge("latency_p99_ms", latency.quantile(0.99));
                 for (i, d) in shared.inbox_depth.iter().enumerate() {
                     reg.gauge(&format!("inbox_depth.s{i}"), d.load(ORD) as f64);
                 }
@@ -313,15 +285,25 @@ mod tests {
     #[test]
     fn atomic_hist_matches_log_histogram_geometry() {
         let h = AtomicLogHist::default();
-        let mut reference = ddr_telemetry::LogHistogram::default();
-        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0, 4096.0] {
+        let mut reference = LogHistogram::default();
+        // NaN and negatives land in bucket 0; 2^63 and above (infinity
+        // included) saturate into bucket 63.
+        let odd = [f64::NAN, -5.0, 9.3e18, u64::MAX as f64, f64::INFINITY];
+        for v in [0.0, 0.5, 1.0, 3.0, 100.0, 1000.0, 4096.0]
+            .into_iter()
+            .chain(odd)
+        {
             h.record(v);
             reference.record(v);
         }
-        assert_eq!(h.count(), reference.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(h.quantile(q), reference.quantile(q), "q={q}");
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), reference.count());
+        assert_eq!(snap.count(), 12);
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(snap.quantile(q), reference.quantile(q), "q={q}");
         }
+        assert_eq!(snap.quantile(0.0), 1.0);
+        assert_eq!(snap.quantile(1.0), (1u64 << 63) as f64);
     }
 
     #[test]

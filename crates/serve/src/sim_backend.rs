@@ -1,7 +1,7 @@
 //! The deterministic backend: drive a fleet of [`GnutellaNode`]s
 //! through the calendar-queue DES.
 //!
-//! This is the "SimTransport adapter" side of the sim/serve duality:
+//! This is the discrete-event side of the sim/serve duality:
 //! the same `NodeBehavior` the bus shards across threads runs here
 //! single-threaded under virtual time, so its outcomes are a pure
 //! function of `(config, seed)`. The parity test compares this
@@ -38,18 +38,6 @@ impl Clock<NodeMsg> for SimCtx<'_, '_> {
         let me = self.me;
         self.sched.after(
             delay,
-            Delivery {
-                to: me,
-                from: me,
-                msg,
-            },
-        );
-    }
-
-    fn schedule_at(&mut self, at: SimTime, msg: NodeMsg) {
-        let me = self.me;
-        self.sched.at(
-            at,
             Delivery {
                 to: me,
                 from: me,

@@ -631,12 +631,6 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.now()
     }
 
-    /// Schedule at an absolute instant (must not be in the past).
-    #[inline]
-    pub fn at(&mut self, at: SimTime, event: E) {
-        self.queue.schedule_at(at, event);
-    }
-
     /// Schedule after a relative delay.
     #[inline]
     pub fn after(&mut self, delay: SimDuration, event: E) {

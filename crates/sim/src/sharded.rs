@@ -181,12 +181,6 @@ impl<'a, E> ShardCtx<'a, E> {
         self.now
     }
 
-    /// The kernel's lookahead: the minimum admissible send delay.
-    #[inline]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Schedule `event` to fire at node `to` after `delay`. Self-sends
     /// (timers) use the handling node as `to`.
     ///

@@ -11,17 +11,18 @@ use std::path::PathBuf;
 /// behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// JSONL output path for [`crate::JsonlSink`]. `None` discards.
+    /// JSONL output path for the [`crate::QueryTracer`]'s
+    /// [`crate::JsonlSink`]. `None` discards.
     pub trace_path: Option<PathBuf>,
     /// Sample every N-th query id (1 = every query, 0 treated as 1).
     pub sample: u64,
     /// Label stamped on each record (`"run"`), distinguishing e.g. the
     /// static and dynamic configs sharing one trace file.
     pub run_label: &'static str,
-    /// JSONL output path for the metrics timeline
-    /// ([`crate::JsonlMetrics`]). `None` discards. Independent of
-    /// `trace_path`: a run can trace spans, sample metrics, both, or
-    /// neither.
+    /// JSONL output path for the metrics timeline (the
+    /// [`crate::MetricsRecorder`]'s [`crate::JsonlSink`]). `None`
+    /// discards. Independent of `trace_path`: a run can trace spans,
+    /// sample metrics, both, or neither.
     pub metrics_path: Option<PathBuf>,
 }
 

@@ -371,7 +371,7 @@ mod tests {
     struct StringSink(String);
     impl TraceSink for StringSink {
         const ENABLED: bool = true;
-        fn create(_cfg: &TelemetryConfig) -> Self {
+        fn create(_path: Option<&std::path::Path>) -> Self {
             StringSink(String::new())
         }
         fn write_line(&mut self, line: &str) {

@@ -1,22 +1,22 @@
 //! # ddr-telemetry — structured observability for the framework
 //!
-//! Four pillars, each usable on its own:
+//! One sink trait, [`TraceSink`], carries every record stream. Sinks are
+//! selected at *compile time* via a generic parameter: the default
+//! [`NullSink`] has `ENABLED = false`, so every recording call const-folds
+//! to nothing and the instrumented and plain builds share one hot path.
+//! The runtime sink, [`JsonlSink`], buffers versioned (`"v":1`) JSONL
+//! records and appends them to the path it was created with. The crate's
+//! four parts:
 //!
 //! * **Query-lifecycle tracing** — a [`QueryTracer`] embedded in each
 //!   scenario world records sampled per-query spans (issue → hops →
-//!   duplicate drops → first result → terminal hit/miss/timeout) through
-//!   a [`TraceSink`]. Sinks are selected at *compile time* via a generic
-//!   parameter on the world: the default [`NullSink`] has
-//!   `ENABLED = false`, so every tracer call const-folds to nothing and
-//!   the traced and untraced builds share one hot path. The runtime
-//!   sink, [`JsonlSink`], buffers versioned (`"v":1`) JSONL records and
-//!   appends them to the configured file.
+//!   duplicate drops → first result → terminal hit/miss/timeout) into
+//!   `TelemetryConfig::trace_path`.
 //! * **Metrics timelines** — a [`MetricsRecorder`] samples whole-system
-//!   counters/gauges/histograms into windowed JSONL records through a
-//!   [`MetricsSink`] (same compile-time on/off pattern: [`NullMetrics`]
-//!   is free, [`JsonlMetrics`] writes `"v":1` timeline files). Worlds
-//!   report through the `ddr_sim::MetricsHub` hook; the
-//!   [`timeline`] module summarises the files for `ddr inspect`.
+//!   counters/gauges/[`LogHistogram`]s into windowed records in
+//!   `TelemetryConfig::metrics_path`. Worlds report through the
+//!   `ddr_sim::MetricsHub` hook; the [`timeline`] module summarises the
+//!   files for `ddr inspect`.
 //! * **Kernel profiling** — [`KernelProfiler`] implements
 //!   `ddr_sim::KernelProbe`: per-event-type dispatch counts and
 //!   wall-time histograms plus periodic calendar-queue statistics,
@@ -41,10 +41,7 @@ pub mod tracer;
 
 pub use config::TelemetryConfig;
 pub use inspect::{summarize, summarize_file, TraceSummary};
-pub use metrics::{
-    JsonlMetrics, LogHistogram, MetricsRecorder, MetricsRegistry, MetricsSink, NullMetrics,
-    METRICS_SCHEMA_VERSION,
-};
+pub use metrics::{LogHistogram, MetricsRecorder, MetricsRegistry, METRICS_SCHEMA_VERSION};
 pub use profile::{shard_profile_report, KernelProfiler};
 pub use sink::{JsonlSink, NullSink, TraceSink};
 pub use timeline::{is_timeline, summarize_timeline, summarize_timeline_file, TimelineSummary};

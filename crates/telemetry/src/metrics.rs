@@ -1,7 +1,7 @@
 //! The metrics timeline layer: whole-system time series next to
 //! per-query traces.
 //!
-//! `TraceSink` (PR 4) records *spans* — one query's lifecycle. This
+//! The trace layer records *spans* — one query's lifecycle. This
 //! module records *windows*: periodic snapshots of fleet-wide counters
 //! (hits, messages, logins), gauges (online population, dup-cache
 //! occupancy, per-shard event-queue depth) and log-bucketed histograms,
@@ -19,99 +19,20 @@
 //! Gauges are instantaneous levels summed across shards. Timestamps are
 //! virtual ms for simulations and wall ms for `ddr serve`.
 //!
-//! The on/off mechanism mirrors the trace layer exactly: the sink is a
-//! *type* ([`MetricsSink`]), [`NullMetrics`] const-folds every recording
-//! call site away, and a metered run samples only **between** kernel
-//! steps — so metrics-on runs are digest-identical to metrics-off runs
-//! (pinned by `metrics_determinism.rs`).
+//! The on/off mechanism is the trace layer's: the recorder writes
+//! through a [`TraceSink`] type, [`crate::NullSink`] const-folds every
+//! recording call site away, and a metered run samples only **between**
+//! kernel steps — so metrics-on runs are digest-identical to metrics-off
+//! runs (pinned by `metrics_determinism.rs`).
 
 use crate::config::TelemetryConfig;
-use crate::sink::flush_jsonl;
+use crate::sink::TraceSink;
 use ddr_sim::{MetricsHub, ShardWorld, ShardedSimulation, SimTime, Simulation, World};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Version stamped on every timeline record (`"v"`).
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
-
-/// A destination for JSONL timeline records. The metrics twin of
-/// [`crate::TraceSink`]: same `const ENABLED` guard, same construction
-/// from [`TelemetryConfig`], same whole-buffer JSONL discipline.
-pub trait MetricsSink {
-    /// Whether this sink records anything; `false` const-folds every
-    /// recorder call site to a no-op.
-    const ENABLED: bool;
-
-    /// Build the sink from the run's telemetry configuration.
-    fn create(cfg: &TelemetryConfig) -> Self;
-
-    /// Accept one complete JSON record (no trailing newline).
-    fn write_line(&mut self, line: &str);
-
-    /// Persist anything buffered.
-    fn flush(&mut self) {}
-}
-
-/// The compile-time-off metrics sink: records nothing, costs nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullMetrics;
-
-impl MetricsSink for NullMetrics {
-    const ENABLED: bool = false;
-
-    fn create(_cfg: &TelemetryConfig) -> Self {
-        NullMetrics
-    }
-
-    fn write_line(&mut self, _line: &str) {}
-}
-
-/// A buffered JSONL timeline file sink, pointed at
-/// [`TelemetryConfig::metrics_path`]. Shares the process-wide
-/// truncate-once-then-append registry with the trace sink, so a metrics
-/// file survives multiple worlds/chunks in one process but never keeps
-/// stale content from a previous run.
-#[derive(Debug)]
-pub struct JsonlMetrics {
-    path: Option<PathBuf>,
-    buf: String,
-}
-
-impl MetricsSink for JsonlMetrics {
-    const ENABLED: bool = true;
-
-    fn create(cfg: &TelemetryConfig) -> Self {
-        JsonlMetrics {
-            path: cfg.metrics_path.clone(),
-            buf: String::new(),
-        }
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.path.is_none() {
-            return;
-        }
-        self.buf.push_str(line);
-        self.buf.push('\n');
-        if self.buf.len() >= 1 << 20 {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        let Some(path) = &self.path else {
-            return;
-        };
-        flush_jsonl(path, &mut self.buf);
-    }
-}
-
-impl Drop for JsonlMetrics {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
 
 /// A power-of-two log-bucketed histogram: bucket `k` covers values in
 /// `[2^(k-1), 2^k)` (bucket 0 holds everything below 1). 64 buckets
@@ -135,8 +56,17 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
+    /// A histogram holding `counts[k]` samples in bucket `k` (a snapshot
+    /// of some other store with the same geometry).
+    pub fn from_counts(counts: [u64; 64]) -> Self {
+        LogHistogram {
+            counts,
+            total: counts.iter().sum(),
+        }
+    }
+
     /// The bucket index covering `v`.
-    fn bucket(v: f64) -> usize {
+    pub fn bucket(v: f64) -> usize {
         if v.is_nan() || v < 1.0 {
             // Negative, sub-1 and NaN samples all land in bucket 0.
             return 0;
@@ -251,23 +181,24 @@ fn json_f64(v: f64) -> String {
 
 /// Drives one run's timeline: owns the [`MetricsRegistry`], differences
 /// cumulative counters into per-window deltas, and emits one versioned
-/// record per sampling boundary into the sink type `M`. With
-/// [`NullMetrics`] every method is a const-folded no-op.
-pub struct MetricsRecorder<M: MetricsSink> {
+/// record per sampling boundary into the sink type `S`. With
+/// [`crate::NullSink`] every method is a const-folded no-op.
+pub struct MetricsRecorder<S: TraceSink> {
     registry: MetricsRegistry,
-    sink: M,
+    sink: S,
     run_label: &'static str,
     prev: BTreeMap<String, u64>,
     last_t: Option<u64>,
     windows: u64,
 }
 
-impl<M: MetricsSink> MetricsRecorder<M> {
-    /// Build a recorder for one run from its telemetry configuration.
+impl<S: TraceSink> MetricsRecorder<S> {
+    /// Build a recorder for one run from its telemetry configuration; the
+    /// sink writes to [`TelemetryConfig::metrics_path`].
     pub fn new(cfg: &TelemetryConfig) -> Self {
         MetricsRecorder {
             registry: MetricsRegistry::default(),
-            sink: M::create(cfg),
+            sink: S::create(cfg.metrics_path.as_deref()),
             run_label: cfg.run_label,
             prev: BTreeMap::new(),
             last_t: None,
@@ -277,7 +208,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
 
     /// Whether this recorder records anything (decided by the sink type).
     pub const fn enabled() -> bool {
-        M::ENABLED
+        S::ENABLED
     }
 
     /// Windows emitted so far.
@@ -296,7 +227,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// [`World::sample_metrics`] hook, gauges the kernel queue depth,
     /// and emits the window record at virtual time `now`.
     pub fn sample_sim<W: World>(&mut self, now: SimTime, sim: &Simulation<W>) {
-        if !M::ENABLED {
+        if !S::ENABLED {
             return;
         }
         self.registry.begin_sample();
@@ -310,7 +241,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// registry sums them) and each shard's event-queue depth lands in
     /// its own `queue_depth.s<i>` gauge.
     pub fn sample_sharded<W: ShardWorld>(&mut self, now: SimTime, sim: &ShardedSimulation<W>) {
-        if !M::ENABLED {
+        if !S::ENABLED {
             return;
         }
         self.registry.begin_sample();
@@ -328,7 +259,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
     /// monotonic (a late sampler can never emit a time-travelling
     /// window).
     pub fn emit_window(&mut self, t_ms: u64) {
-        if !M::ENABLED {
+        if !S::ENABLED {
             return;
         }
         let t = match self.last_t {
@@ -381,7 +312,7 @@ impl<M: MetricsSink> MetricsRecorder<M> {
         self.sink.write_line(&line);
     }
 
-    /// Flush the sink (also happens on drop for `JsonlMetrics`).
+    /// Flush the sink (also happens on drop for `JsonlSink`).
     pub fn finish(&mut self) {
         self.sink.flush();
     }
@@ -391,10 +322,12 @@ impl<M: MetricsSink> MetricsRecorder<M> {
 mod tests {
     use super::*;
 
+    use crate::sink::{JsonlSink, NullSink};
+
     #[test]
     fn null_metrics_is_disabled_and_free() {
-        const { assert!(!NullMetrics::ENABLED) };
-        let mut r = MetricsRecorder::<NullMetrics>::new(&TelemetryConfig::default());
+        const { assert!(!NullSink::ENABLED) };
+        let mut r = MetricsRecorder::<NullSink>::new(&TelemetryConfig::default());
         r.emit_window(1000);
         assert_eq!(r.windows(), 0, "disabled recorder must not count windows");
     }
@@ -437,7 +370,7 @@ mod tests {
             run_label: "T",
             ..TelemetryConfig::default()
         };
-        let mut r = MetricsRecorder::<JsonlMetrics>::new(&cfg);
+        let mut r = MetricsRecorder::<JsonlSink>::new(&cfg);
         r.registry_mut().begin_sample();
         r.registry_mut().counter("hits", 10);
         r.emit_window(1000);

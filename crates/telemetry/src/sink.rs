@@ -1,25 +1,29 @@
-//! Trace sinks: where span records go.
+//! JSONL sinks: where span and timeline records go.
 //!
-//! The sink is a *type* parameter of the scenario worlds, defaulting to
-//! [`NullSink`]. Monomorphisation makes the off-state free: every
-//! [`crate::QueryTracer`] method begins with
+//! One sink trait serves both record streams. The sink is a *type*
+//! parameter of the scenario worlds (spans, through
+//! [`crate::QueryTracer`]) and of [`crate::MetricsRecorder`] (timeline
+//! windows), defaulting to [`NullSink`]. Monomorphisation makes the
+//! off-state free: every tracer and recorder method begins with
 //! `if !T::ENABLED { return; }`, which the compiler folds away for
 //! `NullSink`, leaving the untraced build byte-for-byte on the same hot
 //! path it had before telemetry existed.
 
-use crate::config::TelemetryConfig;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// A destination for JSONL trace lines.
+/// A destination for JSONL records: trace spans or timeline windows.
 pub trait TraceSink {
     /// Whether this sink records anything. `false` lets the tracer's
     /// guard const-fold every call site to a no-op.
     const ENABLED: bool;
 
-    /// Build the sink from the run's telemetry configuration.
-    fn create(cfg: &TelemetryConfig) -> Self;
+    /// Build the sink writing to `path` (`None` discards). The caller
+    /// picks the path: [`crate::QueryTracer`] passes
+    /// [`crate::TelemetryConfig::trace_path`], [`crate::MetricsRecorder`]
+    /// passes [`crate::TelemetryConfig::metrics_path`].
+    fn create(path: Option<&Path>) -> Self;
 
     /// Accept one complete JSON record (no trailing newline).
     fn write_line(&mut self, line: &str);
@@ -35,7 +39,7 @@ pub struct NullSink;
 impl TraceSink for NullSink {
     const ENABLED: bool = false;
 
-    fn create(_cfg: &TelemetryConfig) -> Self {
+    fn create(_path: Option<&Path>) -> Self {
         NullSink
     }
 
@@ -50,11 +54,11 @@ impl TraceSink for NullSink {
 static OPENED: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
 
 /// Drain `buf` into the JSONL file at `path` with truncate-once-then-
-/// append semantics (shared across every sink type in the process: the
-/// first writer of a path this process sees truncates stale content,
-/// later writers append). Used by [`JsonlSink`] and the metrics layer's
-/// `JsonlMetrics`.
-pub(crate) fn flush_jsonl(path: &PathBuf, buf: &mut String) {
+/// append semantics: the first writer of a path this process sees
+/// truncates stale content, later writers append, so a file survives
+/// multiple worlds or chunks in one process but never keeps content
+/// from a previous run.
+fn flush_jsonl(path: &PathBuf, buf: &mut String) {
     if buf.is_empty() {
         return;
     }
@@ -87,9 +91,9 @@ pub struct JsonlSink {
 impl TraceSink for JsonlSink {
     const ENABLED: bool = true;
 
-    fn create(cfg: &TelemetryConfig) -> Self {
+    fn create(path: Option<&Path>) -> Self {
         JsonlSink {
-            path: cfg.trace_path.clone(),
+            path: path.map(Path::to_path_buf),
             buf: String::new(),
         }
     }
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn null_sink_is_disabled() {
         const { assert!(!NullSink::ENABLED) };
-        let mut s = NullSink::create(&TelemetryConfig::default());
+        let mut s = NullSink::create(None);
         s.write_line("{}");
         s.flush();
     }
@@ -139,14 +143,10 @@ mod tests {
     fn jsonl_sink_truncates_then_appends() {
         let path = tmp("trunc");
         std::fs::write(&path, "stale\n").unwrap();
-        let cfg = TelemetryConfig {
-            trace_path: Some(path.clone()),
-            ..TelemetryConfig::default()
-        };
-        let mut a = JsonlSink::create(&cfg);
+        let mut a = JsonlSink::create(Some(&path));
         a.write_line("{\"a\":1}");
         a.flush();
-        let mut b = JsonlSink::create(&cfg);
+        let mut b = JsonlSink::create(Some(&path));
         b.write_line("{\"b\":2}");
         drop(b); // drop flushes
         let text = std::fs::read_to_string(&path).unwrap();
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn pathless_jsonl_sink_discards() {
-        let mut s = JsonlSink::create(&TelemetryConfig::default());
+        let mut s = JsonlSink::create(None);
         s.write_line("{\"x\":1}");
         s.flush();
         assert!(s.buf.is_empty());

@@ -61,7 +61,7 @@ impl<T: TraceSink> QueryTracer<T> {
     /// Build a tracer (and its sink) from the run's telemetry config.
     pub fn new(cfg: &TelemetryConfig) -> Self {
         QueryTracer {
-            sink: T::create(cfg),
+            sink: T::create(cfg.trace_path.as_deref()),
             sample: cfg.sample_every(),
             run: cfg.run_label,
             live: ddr_sim::hash::fast_set(),
@@ -266,7 +266,7 @@ mod tests {
     struct VecSink(Vec<String>);
     impl TraceSink for VecSink {
         const ENABLED: bool = true;
-        fn create(_cfg: &TelemetryConfig) -> Self {
+        fn create(_path: Option<&std::path::Path>) -> Self {
             VecSink(Vec::new())
         }
         fn write_line(&mut self, line: &str) {
